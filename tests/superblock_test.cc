@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -362,9 +363,11 @@ TEST(SuperblockEligibility, ObserverXnrAndSpecForceSingleStep) {
 // Cross-thread invalidation (the TSan target): reader Cpus run superblocked
 // under the quiesce gate while a writer repeatedly takes the gate
 // exclusively and pokes text (each poke bumps the text generation and
-// flushes the chains). Every run must still return the right value; the
-// atomics involved (text generation, page generation) must race-free-ly
-// order against the predecode.
+// flushes the chains). Each poke is followed by at least one completed
+// reader run before the next, so every text generation is executed by the
+// engine. Every run must still return the right value; the atomics
+// involved (text generation, page generation) must race-free-ly order
+// against the predecode.
 TEST(SuperblockConcurrency, ConcurrentInvalidationUnderQuiesceGate) {
   // sb_reader only *reads* shared guest state (each Cpu's stack is private
   // frames), so concurrent readers couple only through the text/page
@@ -387,6 +390,10 @@ TEST(SuperblockConcurrency, ConcurrentInvalidationUnderQuiesceGate) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> runs{0};
   std::atomic<int> mismatches{0};
+  // Pokes published so far, and the newest poke that some completed reader
+  // run started after.
+  std::atomic<int> pokes_done{0};
+  std::atomic<int> newest_covered{0};
 
   // One private data page per reader, identical contents, mapped before any
   // thread starts.
@@ -404,33 +411,56 @@ TEST(SuperblockConcurrency, ConcurrentInvalidationUnderQuiesceGate) {
   ASSERT_EQ(baseline.reason, StopReason::kReturned);
   ASSERT_EQ(baseline.rax, 0xFEEDu);
 
+  // From here until the join nothing may ASSERT: returning with joinable
+  // threads calls std::terminate and takes every later test with it.
   std::vector<std::thread> readers;
   for (int i = 0; i < kReaders; ++i) {
     readers.emplace_back([&, i] {
       Cpu cpu(&image);
       cpu.set_quiesce_gate(&gate);
       while (!stop.load(std::memory_order_relaxed)) {
+        // Sampled before the run enters the gate: the poke that published
+        // this count ran exclusively, so the run is admitted only after it.
+        const int after_poke = pokes_done.load();
         RunResult r = cpu.CallFunction(*entry, {bufs[static_cast<size_t>(i)]}, Superblocked());
         if (r.reason != StopReason::kReturned || r.rax != baseline.rax ||
             r.instructions != baseline.instructions) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
         runs.fetch_add(1, std::memory_order_relaxed);
+        int covered = newest_covered.load();
+        while (covered < after_poke && !newest_covered.compare_exchange_weak(covered, after_poke)) {
+        }
       }
     });
   }
-  for (int i = 0; i < kPokes; ++i) {
+  // Without the wait for a reader run after each poke, the writer can finish
+  // every poke before any reader has built its Cpu. The deadline turns a
+  // wedged engine into a test failure rather than a ctest timeout.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool poke_ok = true;
+  while (pokes_done.load() < kPokes) {
     gate.BeginExclusive();
     // Rewriting the same byte is semantically a no-op but bumps the text
     // generation — the pure-invalidation stressor.
-    ASSERT_TRUE(image.PokeBytes(*entry, &byte, 1).ok());
+    poke_ok = image.PokeBytes(*entry, &byte, 1).ok();
+    if (poke_ok) pokes_done.fetch_add(1);
     gate.EndExclusive();
-    std::this_thread::yield();
+    if (!poke_ok) break;
+    while (newest_covered.load() < pokes_done.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (newest_covered.load() < pokes_done.load()) break;
   }
   stop.store(true);
   for (std::thread& t : readers) {
     t.join();
   }
+  EXPECT_TRUE(poke_ok) << "PokeBytes failed at poke " << pokes_done.load() + 1;
+  EXPECT_EQ(pokes_done.load(), kPokes);
+  EXPECT_EQ(newest_covered.load(), kPokes)
+      << "no reader run completed after poke " << newest_covered.load() + 1;
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(runs.load(), 0u) << "readers never ran; the test proved nothing";
 }

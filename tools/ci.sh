@@ -4,8 +4,9 @@
 # re-randomization (rerand) stage, the perf stage (block-cache equivalence
 # tests + parallel bench smoke matrix with the telemetry overhead gate), the
 # superblock stage (translate-and-chain engine equivalence, invalidation
-# and inline-TLB tests; the TSan preset re-runs them for the concurrent
-# invalidation protocol), the telemetry stage (subsystem tests + krx_trace
+# and inline-TLB tests, plus 50 repeats of the concurrent-invalidation
+# test; the TSan preset re-runs them for the concurrent invalidation
+# protocol), the telemetry stage (subsystem tests + krx_trace
 # export/validate smoke + the
 # traced security_eval attack timeline), the supervise stage (watchdog,
 # deadline, retry, degradation-ladder and checkpoint/restore tests) with the
@@ -67,6 +68,10 @@ ctest --test-dir build -L perf --output-on-failure -j4
 
 echo "==> superblock stage: translate-and-chain engine tests"
 ctest --test-dir build -L superblock --output-on-failure -j4
+# Repeat the concurrent-invalidation test so an intermittent reader/writer
+# interleaving fault fails CI outright instead of showing as a flaky red.
+KRX_POST_LINK_VERIFY=1 ./build/tests/superblock_test \
+    --gtest_filter='SuperblockConcurrency.*' --gtest_repeat=50
 
 echo "==> telemetry stage: subsystem tests + trace export smoke"
 ctest --test-dir build -L telemetry --output-on-failure -j4
