@@ -298,6 +298,17 @@ int Main(int argc, char** argv) {
   std::printf("  latency: p50 %.2f ms, p99 %.2f ms, mean %.2f ms; %.0f req/s served; "
               "%d failure(s)\n",
               p50, p99, mean, throughput, failures.load());
+  // Measured after traffic has touched the stacks and buffers: the guest
+  // frames resident in host memory, beside the modelled frames in use.
+  const TenantFleet::MemoryReport served = fleet.MemoryUsage();
+  const double resident_ratio =
+      served.image_bytes > 0
+          ? static_cast<double>(served.resident_bytes) / static_cast<double>(served.image_bytes)
+          : 0;
+  std::printf("  guest memory: %.2f MB resident (measured), %.2f MB in use (modelled), "
+              "%.2fx; %.3f MB resident per tenant\n",
+              served.resident_bytes / 1048576.0, served.image_bytes / 1048576.0,
+              resident_ratio, served.resident_bytes / 1048576.0 / args.tenants);
 
   // ---- Phase 3: thread scaling. ----
   const int hw_threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -336,11 +347,14 @@ int Main(int argc, char** argv) {
                 "  \"fleet\": {\"tenants\": %d, \"workers_per_tenant\": %d, "
                 "\"pristine_groups\": %d, \"dedup_ratio\": %.4f, \"shared_bytes\": %llu, "
                 "\"image_bytes\": %llu, \"cow_total_bytes\": %llu, "
-                "\"naive_total_bytes\": %llu, \"bytes_per_tenant\": %.0f},\n",
+                "\"naive_total_bytes\": %llu, \"bytes_per_tenant\": %.0f, "
+                "\"served_image_bytes\": %llu, \"served_resident_bytes\": %llu},\n",
                 mem.tenants, args.workers, mem.pristine_groups, mem.dedup_ratio,
                 (unsigned long long)mem.shared_bytes, (unsigned long long)mem.image_bytes,
                 (unsigned long long)mem.cow_total_bytes,
-                (unsigned long long)mem.naive_total_bytes, mem.avg_bytes_per_tenant);
+                (unsigned long long)mem.naive_total_bytes, mem.avg_bytes_per_tenant,
+                (unsigned long long)served.image_bytes,
+                (unsigned long long)served.resident_bytes);
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"admit\": {\"total_ms\": %.3f, \"first_in_group_ms\": %.3f, "

@@ -147,6 +147,12 @@ Cpu::Cpu(KernelImage* image, CostModel cost, CpuOptions options)
   RefreshKrxHandlerRange();
 }
 
+Cpu::~Cpu() {
+  if (stack_base_ != 0) {
+    image_->FreeDataPages(stack_base_, options_.stack_pages);
+  }
+}
+
 void Cpu::RefreshKrxHandlerRange() {
   int32_t h = image_->symbols().Find(kKrxHandlerName);
   if (h >= 0 && image_->symbols().at(h).defined) {
@@ -175,8 +181,9 @@ bool Cpu::DataRead64(uint64_t vaddr, uint64_t* value) {
     // Heisenbyte baseline (§8): a successful data read of executable bytes
     // destroys them in place, so disclosed gadgets crash when reused.
     for (int i = 0; i < 8; ++i) {
-      const Pte* pte = image_->page_table().Lookup(vaddr + static_cast<uint64_t>(i));
-      if (pte != nullptr && pte->flags.present && !pte->flags.nx) {
+      const std::optional<Pte> pte =
+          image_->page_table().Lookup(vaddr + static_cast<uint64_t>(i));
+      if (pte && pte->flags.present && !pte->flags.nx) {
         image_->phys().Write8((pte->frame << kPageShift) |
                                   PageOffset(vaddr + static_cast<uint64_t>(i)),
                               0xD7);
@@ -736,8 +743,8 @@ void Cpu::SpeculateWrongPath(uint64_t wrong_rip) {
   // read, bypassing Mmu::Read64 (no TLB counters, no fault record, no
   // destructive-code-read byte-smashing, no XnR disclosure handling).
   auto data_paddr = [&](uint64_t vaddr, uint64_t* paddr) -> bool {
-    const Pte* pte = pt.Lookup(vaddr);
-    if (pte == nullptr || !pte->flags.present) return false;
+    const std::optional<Pte> pte = pt.Lookup(vaddr);
+    if (!pte || !pte->flags.present) return false;
     if (smap && pte->flags.user) return false;
     const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;
     *paddr = (frame << kPageShift) | PageOffset(vaddr);
@@ -788,8 +795,8 @@ void Cpu::SpeculateWrongPath(uint64_t wrong_rip) {
   auto shadow_fetch = [&](uint64_t vaddr, uint8_t* buf) -> size_t {
     size_t n = 0;
     for (; n < 16; ++n) {
-      const Pte* pte = pt.Lookup(vaddr + n);
-      if (pte == nullptr || !pte->flags.present || pte->flags.nx) break;
+      const std::optional<Pte> pte = pt.Lookup(vaddr + n);
+      if (!pte || !pte->flags.present || pte->flags.nx) break;
       if (smep && pte->flags.user) break;
       buf[n] = phys.Read8((pte->frame << kPageShift) | PageOffset(vaddr + n));
     }

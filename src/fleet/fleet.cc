@@ -191,6 +191,7 @@ TenantFleet::MemoryReport TenantFleet::MemoryUsage() const {
     const uint64_t image_bytes = tenant->kernel->image->phys().frames_allocated()
                                  << kPageShift;
     report.image_bytes += image_bytes;
+    report.resident_bytes += tenant->kernel->image->phys().ResidentBytes();
     report.naive_total_bytes += artifacts->ApproxBytes() + image_bytes;
   }
   report.pristine_groups = static_cast<int>(groups.size());

@@ -50,9 +50,9 @@ struct FleetOptions {
   int workers_per_tenant = 1;  // M Cpus per tenant
   bool use_block_cache = true;
   uint64_t max_steps = 50'000'000;
-  // Physical memory per tenant image; 0 keeps the base build's size. The
-  // base source defaults to 64MB/tenant — fleets of 16+ tenants usually
-  // want this smaller.
+  // Physical frame budget per tenant image; 0 keeps the base build's size
+  // (64 MiB by default). Frames cost host memory only once touched, so the
+  // budget caps an image rather than sizing it.
   uint64_t phys_bytes = 0;
   // Run the per-tenant diversification epoch for configs with diversify
   // set. Off only for A/B experiments (all same-config tenants then share
@@ -102,6 +102,9 @@ class TenantFleet {
     int pristine_groups = 0;
     uint64_t shared_bytes = 0;       // sum of ApproxBytes over the groups
     uint64_t image_bytes = 0;        // used guest frames x page, all tenants
+    // Measured beside the model: guest frames resident in host memory
+    // (mincore, per image), all tenants.
+    uint64_t resident_bytes = 0;
     uint64_t cow_total_bytes = 0;    // shared_bytes + image_bytes
     uint64_t naive_total_bytes = 0;  // every tenant carrying its own artifacts
     // 1 - pristine_groups / tenants: the fraction of per-tenant compiles

@@ -55,8 +55,8 @@ struct TenantSpec {
 // ---- Workload execution (shared by BenchRunner::RunOne and the fleet). ----
 
 // Guest-side scratch buffers a workload needs, allocated once per
-// (tenant, worker) session and reused across requests — AllocDataPages is a
-// bump allocator, so per-request allocation would leak frames.
+// (tenant, worker) session and reused across requests. They live as long as
+// the image; nothing returns them with FreeDataPages.
 struct WorkloadBuffers {
   uint64_t op_buffer = 0;  // lmbench/phoronix scratch
   uint64_t vfs_buf = 0;    // vfs_read / vfs_fstat destination page

@@ -13,6 +13,9 @@ uint64_t SizeClassFor(uint64_t size) {
   return cls;
 }
 
+// Mask of the low `n` bits, n <= 64 (a shift by 64 is undefined).
+uint64_t LowBits(uint64_t n) { return n >= 64 ? ~0ULL : (1ULL << n) - 1; }
+
 }  // namespace
 
 bool SlabAllocator::Slab::Full() const { return free_mask == 0 && free_mask_hi == 0; }
@@ -20,9 +23,9 @@ bool SlabAllocator::Slab::Full() const { return free_mask == 0 && free_mask_hi =
 bool SlabAllocator::Slab::Empty() const {
   uint64_t cap = capacity();
   if (cap <= 64) {
-    return free_mask == (cap == 64 ? ~0ULL : (1ULL << cap) - 1);
+    return free_mask == LowBits(cap);
   }
-  return free_mask == ~0ULL && free_mask_hi == (1ULL << (cap - 64)) - 1;
+  return free_mask == ~0ULL && free_mask_hi == LowBits(cap - 64);
 }
 
 int SlabAllocator::Slab::TakeFreeIndex() {
@@ -64,12 +67,8 @@ Result<SlabAllocator::Slab*> SlabAllocator::SlabWithSpace(uint64_t object_size) 
   s.base = *page;
   s.object_size = object_size;
   uint64_t cap = s.capacity();
-  if (cap <= 64) {
-    s.free_mask = cap == 64 ? ~0ULL : (1ULL << cap) - 1;
-  } else {
-    s.free_mask = ~0ULL;
-    s.free_mask_hi = (1ULL << (cap - 64)) - 1;
-  }
+  s.free_mask = LowBits(cap);
+  s.free_mask_hi = cap > 64 ? LowBits(cap - 64) : 0;
   slabs.push_back(s);
   page_class_[*page] = object_size;
   ++stats_.slabs;
@@ -142,7 +141,10 @@ Status VmallocArena::Vfree(uint64_t vaddr) {
   if (it == ranges_.end()) {
     return InvalidArgumentError("vfree of unknown range");
   }
+  const std::optional<Pte> pte = image_->page_table().Lookup(vaddr);
+  KRX_CHECK(pte.has_value());
   image_->page_table().UnmapRange(vaddr, it->second);
+  image_->phys().FreeFrames(pte->frame, it->second);
   ranges_.erase(it);
   return Status::Ok();
 }

@@ -7,8 +7,8 @@ namespace krx {
 void XnrState::Protect(uint64_t vaddr, uint64_t num_pages) {
   for (uint64_t i = 0; i < num_pages; ++i) {
     uint64_t page = PageFloor(vaddr) + i * kPageSize;
-    const Pte* pte = pt_->Lookup(page);
-    if (pte == nullptr) {
+    const std::optional<Pte> pte = pt_->Lookup(page);
+    if (!pte) {
       continue;
     }
     pages_[page] = *pte;
@@ -73,7 +73,7 @@ Result<uint64_t> EnableHidem(KernelImage& image, uint8_t poison) {
     image.phys().Fill(*shadow << kPageShift, poison, pages << kPageShift);
     for (uint64_t i = 0; i < pages; ++i) {
       Pte* pte = image.page_table().LookupMutable(s.vaddr + i * kPageSize);
-      KRX_CHECK(pte != nullptr);
+      KRX_CHECK(pte);
       pte->has_data_frame = true;
       pte->data_frame = *shadow + i;
       ++split;

@@ -75,17 +75,23 @@ Result<PlacedSection*> KernelImage::PlaceSection(const std::string& name, Sectio
   return &sections_.back();
 }
 
-Status KernelImage::RemoveSection(const std::string& name, uint8_t fill) {
+Status KernelImage::RemoveSection(const std::string& name, uint8_t fill, uint64_t zero_tail) {
   for (size_t i = 0; i < sections_.size(); ++i) {
     if (sections_[i].name != name) {
       continue;
     }
     const PlacedSection s = sections_[i];
+    const uint64_t pages = s.mapped_size >> kPageShift;
+    KRX_CHECK(zero_tail <= s.size);
     phys_.Fill(s.first_frame << kPageShift, fill, s.mapped_size);
-    page_table_.UnmapRange(s.vaddr, s.mapped_size >> kPageShift);
+    phys_.Fill((s.first_frame << kPageShift) + s.size - zero_tail, 0, zero_tail);
+    page_table_.UnmapRange(s.vaddr, pages);
+    if (physmap_mapped_) {
+      page_table_.ResetToDirect(PhysmapVaddr(s.first_frame), pages);
+    }
     sections_.erase(sections_.begin() + static_cast<std::ptrdiff_t>(i));
     if (s.kind == SectionKind::kText) {
-      const uint64_t end = s.first_frame + (s.mapped_size >> kPageShift);
+      const uint64_t end = s.first_frame + pages;
       for (size_t r = 0; r < code_frame_ranges_.size(); ++r) {
         if (code_frame_ranges_[r].first == s.first_frame &&
             code_frame_ranges_[r].second == end) {
@@ -97,6 +103,7 @@ Status KernelImage::RemoveSection(const std::string& name, uint8_t fill) {
     }
     // Unmapped (and zapped) code: stale predecoded blocks must not replay.
     BumpTextGeneration();
+    phys_.FreeFrames(s.first_frame, pages);
     return Status::Ok();
   }
   return NotFoundError("no such section: " + name);
@@ -108,7 +115,7 @@ void KernelImage::MapPhysmap() {
   f.present = true;
   f.writable = true;
   f.nx = true;
-  page_table_.MapRange(kPhysmapBase, 0, phys_.num_frames(), f);
+  page_table_.MapDirect(kPhysmapBase, phys_.num_frames(), f);
   physmap_mapped_ = true;
 }
 
@@ -131,6 +138,12 @@ Result<uint64_t> KernelImage::AllocDataPages(uint64_t num_pages) {
   }
   KRX_CHECK(physmap_mapped_);
   return PhysmapVaddr(*frames);
+}
+
+void KernelImage::FreeDataPages(uint64_t vaddr, uint64_t num_pages) {
+  KRX_CHECK(vaddr >= kPhysmapBase && PageOffset(vaddr) == 0);
+  page_table_.ResetToDirect(vaddr, num_pages);
+  phys_.FreeFrames((vaddr - kPhysmapBase) >> kPageShift, num_pages);
 }
 
 Result<uint64_t> KernelImage::MapUserPages(uint64_t vaddr, uint64_t num_pages) {
@@ -163,14 +176,14 @@ bool KernelImage::FrameIsCode(uint64_t frame) const {
 }
 
 bool KernelImage::VaddrAliasesCode(uint64_t vaddr, uint64_t span) const {
-  const Pte* pte = page_table_.Lookup(vaddr);
-  if (pte != nullptr && FrameIsCode(pte->frame)) {
+  const std::optional<Pte> pte = page_table_.Lookup(vaddr);
+  if (pte && FrameIsCode(pte->frame)) {
     return true;
   }
   const uint64_t last = vaddr + (span == 0 ? 0 : span - 1);
   if (PageFloor(last) != PageFloor(vaddr)) {
-    const Pte* tail = page_table_.Lookup(last);
-    if (tail != nullptr && FrameIsCode(tail->frame)) {
+    const std::optional<Pte> tail = page_table_.Lookup(last);
+    if (tail && FrameIsCode(tail->frame)) {
       return true;
     }
   }
@@ -180,8 +193,8 @@ bool KernelImage::VaddrAliasesCode(uint64_t vaddr, uint64_t span) const {
 Status KernelImage::PokeBytes(uint64_t vaddr, const uint8_t* src, uint64_t len) {
   bool touched_code = false;
   for (uint64_t done = 0; done < len;) {
-    const Pte* pte = page_table_.Lookup(vaddr + done);
-    if (pte == nullptr) {
+    const std::optional<Pte> pte = page_table_.Lookup(vaddr + done);
+    if (!pte) {
       return NotFoundError("poke to unmapped address");
     }
     uint64_t in_page = kPageSize - PageOffset(vaddr + done);
@@ -198,8 +211,8 @@ Status KernelImage::PokeBytes(uint64_t vaddr, const uint8_t* src, uint64_t len) 
 
 Status KernelImage::PeekBytes(uint64_t vaddr, uint8_t* dst, uint64_t len) const {
   for (uint64_t done = 0; done < len;) {
-    const Pte* pte = page_table_.Lookup(vaddr + done);
-    if (pte == nullptr) {
+    const std::optional<Pte> pte = page_table_.Lookup(vaddr + done);
+    if (!pte) {
       return NotFoundError("peek of unmapped address");
     }
     uint64_t in_page = kPageSize - PageOffset(vaddr + done);

@@ -40,6 +40,7 @@ class KernelImage {
 
   LayoutKind layout() const { return layout_; }
   PhysMem& phys() { return phys_; }
+  const PhysMem& phys() const { return phys_; }
   PageTable& page_table() { return page_table_; }
   const PageTable& page_table() const { return page_table_; }
   Mmu& mmu() { return mmu_; }
@@ -61,7 +62,8 @@ class KernelImage {
                                       uint64_t min_size = 0);
 
   // Maps the entire physical memory at kPhysmapBase (RW, NX): the direct
-  // map. Called once before sections are placed.
+  // map, one range rule in the page table. Called once before sections are
+  // placed.
   void MapPhysmap();
 
   // Removes the physmap synonyms of every code-region section currently
@@ -76,6 +78,9 @@ class KernelImage {
   // heap objects come from here — i.e. from the readable data region, which
   // is what makes stack harvesting (indirect JIT-ROP) possible.
   Result<uint64_t> AllocDataPages(uint64_t num_pages);
+  // Returns pages from AllocDataPages (physmap address, page count). Any
+  // in-place flag change on their physmap pages is dropped with them.
+  void FreeDataPages(uint64_t vaddr, uint64_t num_pages);
 
   // Maps attacker-controlled *user* pages (U/S = 1, RWX — the attacker owns
   // their own mapping) in the lower canonical half. Used by the ret2usr
@@ -114,11 +119,12 @@ class KernelImage {
     module_data_cursor_ = c.data;
   }
 
-  // Unmaps a placed section, fills its frames with `fill`, and forgets it.
-  // The physical frames are not refunded (PhysMem is a bump allocator);
-  // they are zapped so no stale bytes survive. Used by module unload and
-  // load rollback.
-  Status RemoveSection(const std::string& name, uint8_t fill = 0);
+  // Unmaps a placed section, fills its frames with `fill` (the last
+  // `zero_tail` bytes of its content with zero: key material), forgets it
+  // and refunds its frames. The physmap synonyms of the frames are restored
+  // first, so a refunded code frame can come back as a data page at its
+  // physmap address. Used by module unload and load rollback.
+  Status RemoveSection(const std::string& name, uint8_t fill = 0, uint64_t zero_tail = 0);
 
   // Region queries.
   bool InCodeRegion(uint64_t addr) const;

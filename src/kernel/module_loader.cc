@@ -32,23 +32,13 @@ struct LoadTransaction {
   std::vector<int32_t> defined_symbols;
   bool text_placed = false;
   bool data_placed = false;
-  bool synonyms_unmapped = false;
-  uint64_t synonym_frame = 0;
-  uint64_t synonym_pages = 0;
   std::string text_section;
   std::string data_section;
 
   void Rollback() {
-    if (synonyms_unmapped) {
-      PteFlags f;
-      f.present = true;
-      f.writable = true;
-      f.nx = true;
-      image->page_table().MapRange(image->PhysmapVaddr(synonym_frame), synonym_frame,
-                                   synonym_pages, f);
-    }
-    // Placed sections: unmap and zap (text gets the tripwire pad byte, as
-    // unload does, so no partially loaded code survives).
+    // Placed sections: unmap, zap and refund (text gets the tripwire pad
+    // byte, as unload does, so no partially loaded code survives; its
+    // physmap synonyms come back with the refund).
     if (text_placed) {
       (void)image->RemoveSection(text_section, kTextPadByte);
     }
@@ -225,9 +215,6 @@ Result<int32_t> ModuleLoader::Load(const ModuleObject& module) {
       return fail(s);
     }
     image_->page_table().UnmapRange(image_->PhysmapVaddr(lm.text_first_frame), lm.text_pages);
-    txn.synonyms_unmapped = true;
-    txn.synonym_frame = lm.text_first_frame;
-    txn.synonym_pages = lm.text_pages;
   }
 
   lm.symbols = std::move(txn.defined_symbols);
@@ -252,29 +239,16 @@ Status ModuleLoader::Unload(int32_t handle) {
   // Zap the text contents before the pages become reachable again, to
   // prevent code-layout inference attacks (§5.1.1 "Physmap"): unmap the
   // module's text from the code region, fill the frames with the tripwire
-  // pad byte, and drop the section record.
-  KRX_RETURN_IF_ERROR(image_->RemoveSection(".text$" + lm.name, kTextPadByte));
-
-  // Destroy the key material outright: the xkey tail is zeroed, not merely
-  // padded, so no stale return-address keys survive an unload.
-  if (lm.xkey_bytes > 0) {
-    uint64_t xkeys_start = lm.text_size - lm.xkey_bytes;
-    image_->phys().Fill((lm.text_first_frame << kPageShift) + xkeys_start, 0, lm.xkey_bytes);
-  }
+  // pad byte, drop the section record, and refund the frames with their
+  // physmap synonyms restored. The key material is destroyed outright: the
+  // xkey tail is zeroed, not merely padded, so no stale return-address keys
+  // survive an unload.
+  KRX_RETURN_IF_ERROR(
+      image_->RemoveSection(".text$" + lm.name, kTextPadByte, lm.xkey_bytes));
 
   // The data section goes away with the module as well.
   if (lm.data_size > 0) {
     KRX_RETURN_IF_ERROR(image_->RemoveSection(".data$" + lm.name, 0));
-  }
-
-  // Restore the physmap synonyms.
-  if (image_->layout() == LayoutKind::kKrx) {
-    PteFlags f;
-    f.present = true;
-    f.writable = true;
-    f.nx = true;
-    image_->page_table().MapRange(image_->PhysmapVaddr(lm.text_first_frame), lm.text_first_frame,
-                                  lm.text_pages, f);
   }
 
   // Remove the module's symbols from the namespace.

@@ -2,29 +2,51 @@
 
 namespace krx {
 
+void PageTable::Override(uint64_t vpage) {
+  const uint64_t i = DirectIndex(vpage);
+  if (i < direct_.pages) {
+    overridden_[i >> 6] |= 1ULL << (i & 63);
+  }
+}
+
 void PageTable::Map(uint64_t vaddr, uint64_t frame, PteFlags flags) {
-  entries_[vaddr >> kPageShift] = Pte{frame, flags};
+  const uint64_t vpage = vaddr >> kPageShift;
+  entries_[vpage] = Pte{frame, flags};
+  Override(vpage);
   BumpGeneration();
 }
 
 void PageTable::Unmap(uint64_t vaddr) {
-  entries_.erase(vaddr >> kPageShift);
+  const uint64_t vpage = vaddr >> kPageShift;
+  entries_.erase(vpage);
+  Override(vpage);
   BumpGeneration();
 }
 
-const Pte* PageTable::Lookup(uint64_t vaddr) const {
-  auto it = entries_.find(vaddr >> kPageShift);
-  if (it == entries_.end()) {
-    return nullptr;
+std::optional<Pte> PageTable::Lookup(uint64_t vaddr) const {
+  const uint64_t vpage = vaddr >> kPageShift;
+  const uint64_t i = DirectIndex(vpage);
+  if (i < direct_.pages && !Overridden(i)) {
+    return Pte{i, direct_.flags};
   }
-  return &it->second;
+  auto it = entries_.find(vpage);
+  if (it == entries_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 Pte* PageTable::LookupMutable(uint64_t vaddr) {
-  auto it = entries_.find(vaddr >> kPageShift);
+  const uint64_t vpage = vaddr >> kPageShift;
+  const uint64_t i = DirectIndex(vpage);
+  if (i < direct_.pages && !Overridden(i)) {
+    Map(vaddr, i, direct_.flags);  // an explicit entry, so the edit sticks
+  }
+  auto it = entries_.find(vpage);
   if (it == entries_.end()) {
     return nullptr;
   }
+  BumpGeneration();
   return &it->second;
 }
 
@@ -43,11 +65,47 @@ void PageTable::UnmapRange(uint64_t vaddr, uint64_t num_pages) {
   }
 }
 
+void PageTable::MapDirect(uint64_t vaddr, uint64_t num_frames, PteFlags flags) {
+  KRX_CHECK(PageOffset(vaddr) == 0);
+  KRX_CHECK(direct_.pages == 0);
+  direct_ = DirectRule{vaddr >> kPageShift, num_frames, flags};
+  overridden_.assign((num_frames + 63) / 64, 0);
+  BumpGeneration();
+}
+
+void PageTable::ResetToDirect(uint64_t vaddr, uint64_t num_pages) {
+  KRX_CHECK(PageOffset(vaddr) == 0);
+  // Pages that already follow the rule are only read: a Cpu returning its
+  // stack must not write table state other Cpus are translating through.
+  bool changed = false;
+  for (uint64_t p = 0; p < num_pages; ++p) {
+    const uint64_t vpage = (vaddr >> kPageShift) + p;
+    const uint64_t i = DirectIndex(vpage);
+    KRX_CHECK(i < direct_.pages);
+    if (Overridden(i)) {
+      entries_.erase(vpage);
+      overridden_[i >> 6] &= ~(1ULL << (i & 63));
+      changed = true;
+    }
+  }
+  if (changed) {
+    BumpGeneration();
+  }
+}
+
 std::vector<uint64_t> PageTable::FindWxViolations() const {
+  auto is_wx = [](const PteFlags& f) { return f.present && f.writable && !f.nx; };
   std::vector<uint64_t> out;
   for (const auto& [vpage, pte] : entries_) {
-    if (pte.flags.present && pte.flags.writable && !pte.flags.nx) {
+    if (is_wx(pte.flags)) {
       out.push_back(vpage << kPageShift);
+    }
+  }
+  if (is_wx(direct_.flags)) {
+    for (uint64_t i = 0; i < direct_.pages; ++i) {
+      if (!Overridden(i)) {
+        out.push_back((direct_.first_vpage + i) << kPageShift);
+      }
     }
   }
   return out;
@@ -59,8 +117,8 @@ Result<uint64_t> Mmu::Translate(uint64_t vaddr, Access access) {
   } else {
     ++stats_.dtlb_lookups;
   }
-  const Pte* pte = pt_->Lookup(vaddr);
-  if (pte == nullptr || !pte->flags.present) {
+  const std::optional<Pte> pte = pt_->Lookup(vaddr);
+  if (!pte || !pte->flags.present) {
     ++stats_.faults;
     last_fault_ = PageFault{FaultKind::kNotPresent, vaddr, access};
     return PermissionDeniedError("#PF: not present");

@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/mem/phys_mem.h"
@@ -57,6 +59,14 @@ struct PageFault {
   Access access = Access::kRead;
 };
 
+// Virtual-to-physical translations: explicit per-page entries plus at most
+// one direct-map rule. The rule maps a run of virtual pages onto frames
+// [0, n) with one set of flags (the physmap, §5.1.1) without an entry per
+// frame. Any Map or Unmap inside the rule's range overrides it for that
+// page: the page then has its explicit entry (a Map, or a page whose flags
+// were changed in place through LookupMutable) or none, a hole (an Unmap,
+// e.g. a removed code synonym). A bit per rule page marks the overrides, so
+// a rule page translates without a hash probe.
 class PageTable {
  public:
   PageTable() = default;
@@ -64,6 +74,8 @@ class PageTable {
   // source's generation (a fresh object has no cached translations yet).
   PageTable(const PageTable& o)
       : entries_(o.entries_),
+        direct_(o.direct_),
+        overridden_(o.overridden_),
         generation_(o.generation_.load(std::memory_order_acquire)) {}
   // Checkpoint restore copy-assigns entries back into the live table. The
   // generation stays monotonic and is bumped — never rewound — so any
@@ -72,6 +84,8 @@ class PageTable {
   PageTable& operator=(const PageTable& o) {
     if (this != &o) {
       entries_ = o.entries_;
+      direct_ = o.direct_;
+      overridden_ = o.overridden_;
       BumpGeneration();
     }
     return *this;
@@ -80,9 +94,17 @@ class PageTable {
   // Maps the virtual page containing `vaddr` to `frame`. Remapping an
   // existing page replaces the entry.
   void Map(uint64_t vaddr, uint64_t frame, PteFlags flags);
+  // Unmaps the page containing `vaddr`; inside the direct-map range the
+  // page becomes a hole until ResetToDirect.
   void Unmap(uint64_t vaddr);
 
-  const Pte* Lookup(uint64_t vaddr) const;
+  // Translation of the page containing `vaddr`, or nullopt if unmapped.
+  // Allocates nothing.
+  std::optional<Pte> Lookup(uint64_t vaddr) const;
+  // The page's entry for in-place edits, or null if unmapped. A page the
+  // direct-map rule covers gets an explicit entry first, so the edit
+  // sticks. Bumps the generation (callers that edit later, at a trigger
+  // point, bump again then).
   Pte* LookupMutable(uint64_t vaddr);
 
   // Maps `num_pages` consecutive virtual pages starting at `vaddr` (page
@@ -90,24 +112,50 @@ class PageTable {
   void MapRange(uint64_t vaddr, uint64_t first_frame, uint64_t num_pages, PteFlags flags);
   void UnmapRange(uint64_t vaddr, uint64_t num_pages);
 
+  // Installs the direct-map rule: the `num_frames` pages from `vaddr` (page
+  // aligned) map frames [0, num_frames) with `flags`. One rule per table.
+  void MapDirect(uint64_t vaddr, uint64_t num_frames, PteFlags flags);
+  // Drops the explicit entries and holes over `num_pages` pages from
+  // `vaddr`, so those pages follow the direct-map rule again. Pages that
+  // already follow it are only read.
+  void ResetToDirect(uint64_t vaddr, uint64_t num_pages);
+
+  // Explicit translations; the direct-map rule's pages are not counted.
   size_t MappedPageCount() const { return entries_.size(); }
 
   // Scans for W+X mappings (kernel W^X policy audit).
   std::vector<uint64_t> FindWxViolations() const;
 
-  // Page-generation counter: bumped by every Map/Unmap (and by callers that
-  // mutate a Pte in place through LookupMutable — XnR present-bit flips, the
-  // fault injector's permission corruption). Cached translations (the
-  // superblock engine's inline TLB) are tagged with the generation at fill
-  // time and revalidate with one acquire load per hit, so rerand epochs,
-  // module load/unload and any other remap flush exactly the entries cached
-  // against an older table. The counter is shared by every Cpu's Mmu view,
-  // like the entries themselves.
+  // Page-generation counter: bumped by every change to a translation —
+  // Map/Unmap, the direct-map rule, LookupMutable, and callers that mutate
+  // a Pte in place later (XnR present-bit flips, the fault injector's
+  // permission corruption). Cached translations (the superblock engine's
+  // inline TLB) are tagged with the generation at fill time and revalidate
+  // with one acquire load per hit, so rerand epochs, module load/unload and
+  // any other remap flush exactly the entries cached against an older
+  // table. The counter is shared by every Cpu's Mmu view, like the entries
+  // themselves.
   uint64_t generation() const { return generation_.load(std::memory_order_acquire); }
   void BumpGeneration() { generation_.fetch_add(1, std::memory_order_acq_rel); }
 
  private:
+  struct DirectRule {
+    uint64_t first_vpage = 0;
+    uint64_t pages = 0;
+    PteFlags flags;
+  };
+  // Index of `vpage` in the rule's range, or direct_.pages if outside it.
+  uint64_t DirectIndex(uint64_t vpage) const {
+    const uint64_t i = vpage - direct_.first_vpage;
+    return i < direct_.pages ? i : direct_.pages;
+  }
+  bool Overridden(uint64_t i) const { return (overridden_[i >> 6] >> (i & 63)) & 1; }
+  // Marks the page as not following the rule (no-op outside its range).
+  void Override(uint64_t vpage);
+
   std::unordered_map<uint64_t, Pte> entries_;  // key: vaddr >> kPageShift
+  DirectRule direct_;
+  std::vector<uint64_t> overridden_;  // one bit per rule page
   std::atomic<uint64_t> generation_{0};
 };
 

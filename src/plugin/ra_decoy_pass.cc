@@ -44,6 +44,11 @@ bool PositionIsLegal(const BasicBlock& b, size_t idx) {
   if (prev.IsTerminator()) {
     return false;
   }
+  // SFI range checks (cmp/ja, with their flag save/restore) stay adjacent:
+  // the verifier proves a read confined only by its check's exact shape.
+  if (prev.IsRangeCheck()) {
+    return false;
+  }
   // Inserting directly before a tripwire lea is always safe: the lea
   // redefines %r11 anyway. (This keeps pure-trampoline functions, whose
   // only original instruction is a tail jmp, instrumentable.)

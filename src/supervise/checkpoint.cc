@@ -1,6 +1,7 @@
 #include "src/supervise/checkpoint.h"
 
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "src/rerand/quiesce.h"
@@ -44,7 +45,8 @@ void CheckpointManager::AddHostState(std::function<std::vector<uint64_t>()> save
 }
 
 uint64_t CheckpointManager::snapshot_bytes() const {
-  return static_cast<uint64_t>(phys_.size() + symbol_addrs_.size() * sizeof(uint64_t) +
+  return static_cast<uint64_t>(frame_bytes_.size() + frames_.size() * sizeof(uint64_t) +
+                               symbol_addrs_.size() * sizeof(uint64_t) +
                                cpu_state_.size() * sizeof(Cpu::ArchState));
 }
 
@@ -60,8 +62,16 @@ Status CheckpointManager::Capture(QuiesceGate* gate, uint64_t timeout_ms) {
 
 void CheckpointManager::DoCapture() {
   const PhysMem& phys = image_->phys();
-  phys_.resize(phys.size());
-  phys.ReadBytes(0, phys_.data(), phys.size());
+  frames_.clear();
+  frame_bytes_.clear();
+  static const uint8_t kZeroPage[kPageSize] = {};
+  for (uint64_t frame : phys.ResidentFrames()) {
+    const uint8_t* page = phys.raw(frame << kPageShift);
+    if (std::memcmp(page, kZeroPage, kPageSize) != 0) {
+      frames_.push_back(frame);
+      frame_bytes_.insert(frame_bytes_.end(), page, page + kPageSize);
+    }
+  }
   page_table_ = image_->page_table();
 
   const SymbolTable& syms = image_->symbols();
@@ -106,7 +116,11 @@ Status CheckpointManager::Restore(QuiesceGate* gate, uint64_t timeout_ms) {
 }
 
 void CheckpointManager::DoRestore() {
-  image_->phys().WriteBytes(0, phys_.data(), phys_.size());
+  PhysMem& phys = image_->phys();
+  phys.DropAll();
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    phys.WriteBytes(frames_[i] << kPageShift, frame_bytes_.data() + i * kPageSize, kPageSize);
+  }
   image_->page_table() = page_table_;
 
   SymbolTable& syms = image_->symbols();

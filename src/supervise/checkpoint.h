@@ -10,14 +10,19 @@
 // points are exactly the run boundaries the re-randomization engine already
 // quiesces to.
 //
+// Physical memory is captured sparsely: only frames whose host pages are
+// resident (mincore) and not all zero; every other frame reads zero. Restore
+// drops every frame and writes the captured ones back, so the whole
+// physical space is bit-identical to the capture.
+//
 // Restore rewrites physical memory and the page table, resets symbol
 // addresses and host state, restores each tracked Cpu's registers, bumps
 // the image's text generation (every predecoded block was potentially
 // decoded from post-snapshot bytes) and re-resolves the Cpus' cached
-// krx_handler extents. The frame allocator's bump cursor is deliberately
-// NOT rewound: frames allocated after the snapshot stay allocated, which
-// keeps restore monotone (no risk of double-allocating a frame a live
-// structure still points at) at the cost of leaking those frames.
+// krx_handler extents. The frame allocator is deliberately NOT rewound:
+// frames allocated after the snapshot stay allocated (their owners free
+// them), which keeps restore monotone (no risk of double-allocating a frame
+// a live structure still points at).
 //
 // Known limitation: modules loaded or unloaded after a capture are not
 // transactional against Restore (their text frames are restored bytewise,
@@ -78,7 +83,8 @@ class CheckpointManager {
   std::vector<HostStateHook> host_hooks_;
 
   bool has_checkpoint_ = false;
-  std::vector<uint8_t> phys_;
+  std::vector<uint64_t> frames_;     // captured frame numbers, ascending
+  std::vector<uint8_t> frame_bytes_; // their contents, kPageSize each
   PageTable page_table_;
   std::vector<uint64_t> symbol_addrs_;
   std::vector<std::vector<uint64_t>> host_state_;

@@ -22,6 +22,20 @@ CompiledKernel Build(LayoutKind layout) {
 
 class AllocatorLayoutTest : public ::testing::TestWithParam<LayoutKind> {};
 
+// The smallest class packs 128 objects per page: both halves of the free
+// mask must be usable.
+TEST(Allocator, SmallestClassFillsItsWholePage) {
+  CompiledKernel kernel = Build(LayoutKind::kKrx);
+  SlabAllocator slab(kernel.image.get());
+  const uint64_t per_page = kPageSize / SlabAllocator::kMinObject;
+  for (uint64_t i = 0; i < per_page; ++i) {
+    ASSERT_TRUE(slab.Kmalloc(SlabAllocator::kMinObject).ok()) << "object " << i;
+  }
+  EXPECT_EQ(slab.stats().slabs, 1u);
+  ASSERT_TRUE(slab.Kmalloc(SlabAllocator::kMinObject).ok());
+  EXPECT_EQ(slab.stats().slabs, 2u);
+}
+
 TEST_P(AllocatorLayoutTest, KmallocRoundTripAndReuse) {
   CompiledKernel kernel = Build(GetParam());
   SlabAllocator slab(kernel.image.get());
@@ -83,13 +97,13 @@ TEST_P(AllocatorLayoutTest, VmallocMapsAndGuards) {
     ASSERT_TRUE(kernel.image->Poke64(*p + static_cast<uint64_t>(i) * kPageSize, 1).ok());
   }
   // ...and the guard page after the range is unmapped.
-  EXPECT_EQ(kernel.image->page_table().Lookup(*p + 4 * kPageSize), nullptr);
+  EXPECT_FALSE(kernel.image->page_table().Lookup(*p + 4 * kPageSize).has_value());
   // A second allocation lands past the guard.
   auto q = arena.Vmalloc(kPageSize);
   ASSERT_TRUE(q.ok());
   EXPECT_GE(*q, *p + 5 * kPageSize);
   ASSERT_TRUE(arena.Vfree(*p).ok());
-  EXPECT_EQ(kernel.image->page_table().Lookup(*p), nullptr);
+  EXPECT_FALSE(kernel.image->page_table().Lookup(*p).has_value());
   EXPECT_FALSE(arena.Vfree(*p).ok());  // double vfree rejected
 }
 

@@ -11,6 +11,7 @@
 //     differently per seed).
 //   - MemoryUsage() must report the dedup split correctly.
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -240,6 +241,39 @@ TEST(FleetTest, MemoryReportAccountsDedup) {
   EXPECT_EQ(stats.shared_mode.hits, 2u);
   EXPECT_EQ(stats.shared_mode.requests, 4u);
   EXPECT_EQ(stats.private_mode.compiles, 0u);
+}
+
+// The measured resident guest memory must agree with the modelled frames in
+// use within 2x: a tenant image costs what it touches, not its 64 MiB
+// physical budget or one physmap entry per frame.
+TEST(FleetTest, MemoryReportMeasuresResidentFrames) {
+  KernelCache cache(FleetSourceFactory(0xF1EE7));
+  FleetOptions options;
+  options.base_seed = 0xF1EE7;
+  options.workers_per_tenant = 2;
+  TenantFleet fleet(&cache, options);
+  ASSERT_TRUE(fleet.Admit(LmbenchTenant(0, "sfi+x", 0x1)).ok());
+  ASSERT_TRUE(fleet.Admit(LmbenchTenant(1, "x", 0x2)).ok());
+  for (int tenant = 0; tenant < 2; ++tenant) {
+    for (int worker = 0; worker < 2; ++worker) {
+      ASSERT_TRUE(fleet.Serve(tenant, worker).ok());
+    }
+  }
+
+  const TenantFleet::MemoryReport report = fleet.MemoryUsage();
+  uint64_t sum = 0;
+  for (int i = 0; i < 2; ++i) {
+    const PhysMem& phys = fleet.tenant(i)->kernel->image->phys();
+    EXPECT_GT(phys.ResidentBytes(), 0u);
+    EXPECT_LT(phys.ResidentBytes(), phys.size() / 16) << "tenant " << i;
+    sum += phys.ResidentBytes();
+  }
+  EXPECT_EQ(report.resident_bytes, sum);
+  std::printf("resident %llu bytes, modelled %llu bytes\n",
+              static_cast<unsigned long long>(report.resident_bytes),
+              static_cast<unsigned long long>(report.image_bytes));
+  EXPECT_LE(report.resident_bytes, 2 * report.image_bytes);
+  EXPECT_LE(report.image_bytes, 2 * report.resident_bytes);
 }
 
 TEST(FleetTest, ShardedCacheSpreadsKeys) {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/attack/experiments.h"
+#include "src/bench_runner/bench_runner.h"
 #include "src/cpu/cpu.h"
 #include "src/ir/builder.h"
 #include "src/plugin/pipeline.h"
@@ -297,6 +298,53 @@ TEST(RaDecoy, TailCallSupport) {
           << "scheme " << static_cast<int>(scheme) << " seed " << seed;
     }
   }
+}
+
+// ---- Decoy placement never splits an SFI range check. ----
+
+// A phantom `mov $imm,%r11` placed between a range check's cmp and its ja
+// left a string read the verifier could not tie to its check; this seed did
+// that in sys_fork_execve. It must now verify on the first attempt.
+TEST(RaDecoy, SfiPlusDecoysVerifiesOnFirstAttempt) {
+  constexpr uint64_t kSeed = 0x52462fa81af587b1ULL;
+  BuildOptions options;
+  ASSERT_TRUE(ParseConfigName("sfi+d", kSeed, &options.config, &options.layout));
+  options.seed = kSeed;
+  options.verify = BuildOptions::Verify::kOn;
+  options.max_verify_retries = 0;
+  auto kernel = CompileKernel(MakeBenchSourceFactory(0xB0F)(), options);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  EXPECT_EQ(kernel->stats.verify_retries, 0u);
+}
+
+TEST(RaDecoy, NoPhantomFollowsARangeCheck) {
+  const KernelSource source = MakeBenchSourceFactory(0xB0F)();
+  uint64_t phantoms = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    ProtectionConfig config;
+    LayoutKind layout;
+    ASSERT_TRUE(ParseConfigName("sfi+d", seed, &config, &layout));
+    KernelSource copy = source;
+    XkeyLayout xkeys;
+    PipelineStats stats;
+    Rng rng(config.seed);
+    ASSERT_TRUE(ApplyProtection(copy.functions, copy.symbols, config,
+                                ComputeEdata(kDefaultPhantomGuardSize), &xkeys, &stats, rng)
+                    .ok());
+    for (const Function& fn : copy.functions) {
+      for (const BasicBlock& b : fn.blocks()) {
+        for (size_t i = 1; i < b.insts.size(); ++i) {
+          if (b.insts[i].origin != InstOrigin::kPhantomInst) {
+            continue;
+          }
+          ++phantoms;
+          EXPECT_FALSE(b.insts[i - 1].IsRangeCheck())
+              << "seed " << seed << ": phantom after a range check in " << fn.name();
+        }
+      }
+    }
+  }
+  EXPECT_GT(phantoms, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 # test; the TSan preset re-runs them for the concurrent invalidation
 # protocol), the telemetry stage (subsystem tests + krx_trace
 # export/validate smoke + the
-# traced security_eval attack timeline), the supervise stage (watchdog,
+# traced security_eval attack timeline), the mem stage (sparse guest
+# physical memory: lazily zeroed frames, the free list, Cpu-stack and
+# module-section refunds, the physmap direct-map rule and resident-only
+# checkpoints), the supervise stage (watchdog,
 # deadline, retry, degradation-ladder and checkpoint/restore tests) with the
 # chaos campaign acceptance gate, the fleet stage (multi-tenant CoW sharing
 # tests plus the Poisson traffic bench with its dedup-ratio and
@@ -22,7 +25,8 @@
 # BENCH_chaos.json, BENCH_fleet.json, BENCH_trace.json, BENCH_spec.json and
 # BENCH_attacks_trace.json artifacts.
 # The full (non-quick) run re-verifies under the ASan preset and adds a
-# ThreadSanitizer preset pass over the telemetry-labelled suites.
+# ThreadSanitizer preset pass over the telemetry-, superblock- and
+# mem-labelled suites.
 #
 # Usage: tools/ci.sh [--quick]
 #   --quick   skip the ASan and TSan presets (default preset stages only)
@@ -59,12 +63,22 @@ ctest --test-dir build -L rerand --output-on-failure -j4
 echo "==> rerand bench artifact (build/BENCH_rerand.json)"
 ./build/bench/rerand_epoch --quick --json > build/BENCH_rerand.json
 
+echo "==> mem stage: sparse physical memory, frame refunds, physmap rule"
+ctest --test-dir build -L mem --output-on-failure -j4
+
 echo "==> perf stage: engine-equivalence tests + bench smoke matrix"
 ctest --test-dir build -L perf --output-on-failure -j4
 ./build/bench/bench_perf --quick --json build/BENCH_perf.json \
     --trace build/BENCH_perf_trace.json || {
   echo "bench_perf smoke matrix failed" >&2; exit 1;
 }
+# Repeat the smoke matrix: every Cpu it builds must hand its stack back, so
+# no run may end in "out of physical frames".
+for run in 2 3; do
+  ./build/bench/bench_perf --quick > /dev/null || {
+    echo "bench_perf smoke matrix failed (repeat $run)" >&2; exit 1;
+  }
+done
 
 echo "==> superblock stage: translate-and-chain engine tests"
 ctest --test-dir build -L superblock --output-on-failure -j4
@@ -142,6 +156,9 @@ if [ "$QUICK" -eq 0 ]; then
   echo "==> supervise labels (asan preset)"
   ctest --test-dir build-asan -L supervise --output-on-failure -j4
 
+  echo "==> mem labels (asan preset)"
+  ctest --test-dir build-asan -L mem --output-on-failure -j4
+
   echo "==> fleet labels (asan preset)"
   ctest --test-dir build-asan -L fleet --output-on-failure -j4
 
@@ -154,7 +171,7 @@ if [ "$QUICK" -eq 0 ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j
 
-  echo "==> telemetry + concurrency + superblock labels (tsan preset)"
+  echo "==> telemetry + concurrency + superblock + mem labels (tsan preset)"
   ctest --preset tsan -j8
 fi
 
